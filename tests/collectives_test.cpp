@@ -3,7 +3,9 @@
 // tolerance (Adasum dot products are summed in a different order).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <numeric>
 
 #include "base/rng.h"
@@ -15,6 +17,7 @@
 #include "collectives/sum_allreduce.h"
 #include "core/adasum.h"
 #include "core/orthogonality.h"
+#include "tensor/compress/compress.h"
 #include "tensor/kernels.h"
 
 namespace adasum {
@@ -440,6 +443,239 @@ TEST(InplaceRvhParity, SubgroupBitForBitMatchesReference) {
               0)
         << "rank " << comm.rank();
   });
+}
+
+// ---------------------------------------------------------------------------
+// Sum-RVH bit oracle: a serial simulation of the recursive-vector-halving
+// schedule, step by step. Level d pairs group index r with r ± d, and the
+// left member (r/d even) keeps the lower seg/2 elements. On the way down
+// each side adds the partner's copy of its kept half (through the wire codec
+// when compression is on); on the unwind each side compresses its segment,
+// decodes the blob over itself and the partner decodes the same blob into
+// the landing range. Every rank's collective output must match the
+// simulation byte for byte.
+// ---------------------------------------------------------------------------
+
+using RankBytes = std::vector<std::vector<std::byte>>;
+
+RankBytes random_rank_inputs(int ranks, std::size_t count, DType dtype,
+                             std::uint64_t seed) {
+  // Full-precision values (no exact grid), so a change in the reduction tree
+  // or the operand order shows up in the bits.
+  Rng rng(seed);
+  RankBytes inputs(static_cast<std::size_t>(ranks));
+  for (int r = 0; r < ranks; ++r) {
+    Rng fork = rng.fork(static_cast<std::uint64_t>(r));
+    Tensor t({count}, dtype);
+    for (std::size_t i = 0; i < count; ++i) t.set(i, fork.normal());
+    inputs[static_cast<std::size_t>(r)].assign(t.data(), t.data() + t.nbytes());
+  }
+  return inputs;
+}
+
+RankBytes simulate_rvh_sum(RankBytes bufs, std::size_t count, DType dtype,
+                           const CompressionOptions& comp) {
+  const int p = static_cast<int>(bufs.size());
+  const std::size_t elem = dtype_size(dtype);
+  struct Seg {
+    std::size_t begin, count;
+  };
+  const auto at = [&](int r, std::size_t i) {
+    return bufs[static_cast<std::size_t>(r)].data() + i * elem;
+  };
+  const auto as_f32 = [](std::byte* b) { return reinterpret_cast<float*>(b); };
+  // Round-trips `n` floats at `src` through the codec into `dst`: added when
+  // `add`, decoded over otherwise.
+  std::vector<float> blob;
+  const auto codec = [&](std::byte* src, std::byte* dst, std::size_t n,
+                         bool add) {
+    blob.assign((compressed_wire_bytes(n, comp) + 3) / 4, 0.0f);
+    std::byte* const wire = reinterpret_cast<std::byte*>(blob.data());
+    compress_f32({as_f32(src), n}, comp, wire);
+    if (add)
+      decompress_add_f32(wire, comp, n, 0, {as_f32(dst), n});
+    else
+      decompress_f32(wire, comp, {as_f32(dst), n});
+  };
+
+  std::vector<Seg> seg(static_cast<std::size_t>(p), Seg{0, count});
+  std::vector<std::vector<Seg>> kept_per_level;
+  for (int d = 1; d < p; d <<= 1) {
+    std::vector<Seg> kept(static_cast<std::size_t>(p));
+    for (int r = 0; r < p; ++r) {
+      const Seg s = seg[static_cast<std::size_t>(r)];
+      const std::size_t mid = s.count / 2;
+      kept[static_cast<std::size_t>(r)] =
+          (r / d) % 2 == 0 ? Seg{s.begin, mid}
+                           : Seg{s.begin + mid, s.count - mid};
+    }
+    // The partner only writes its own (disjoint) kept half at this level, so
+    // the rank order of this loop cannot change what anyone reads.
+    for (int r = 0; r < p; ++r) {
+      const int partner = (r / d) % 2 == 0 ? r + d : r - d;
+      const Seg k = kept[static_cast<std::size_t>(r)];
+      if (comp.active())
+        codec(at(partner, k.begin), at(r, k.begin), k.count, /*add=*/true);
+      else
+        kernels::add_bytes(at(partner, k.begin), at(r, k.begin), k.count,
+                           dtype);
+    }
+    kept_per_level.push_back(kept);
+    seg = std::move(kept);
+  }
+  for (int l = static_cast<int>(kept_per_level.size()) - 1; l >= 0; --l) {
+    const int d = 1 << l;
+    const std::vector<Seg>& kept = kept_per_level[static_cast<std::size_t>(l)];
+    for (int r = 0; r < p; ++r) {
+      const int partner = (r / d) % 2 == 0 ? r + d : r - d;
+      const Seg k = kept[static_cast<std::size_t>(r)];
+      if (comp.active()) {
+        // Requantize: the rank decodes its own blob over itself, the partner
+        // decodes the very same blob into its landing range.
+        codec(at(r, k.begin), at(partner, k.begin), k.count, /*add=*/false);
+        decompress_f32(reinterpret_cast<const std::byte*>(blob.data()), comp,
+                       {as_f32(at(r, k.begin)), k.count});
+      } else if (k.count > 0) {
+        std::memcpy(at(partner, k.begin), at(r, k.begin), k.count * elem);
+      }
+    }
+  }
+  return bufs;
+}
+
+// Runs rvh_allreduce_sum concurrently on each of `groups` (disjoint lists of
+// world ranks; one empty group means the whole world) with the given
+// transport and pipeline chunk. Returns each group's outputs by group index.
+std::vector<RankBytes> run_rvh_sum_groups(
+    int world_size, const std::vector<std::vector<int>>& groups,
+    const std::vector<RankBytes>& inputs, std::size_t count, DType dtype,
+    const CompressionOptions& comp, const char* transport,
+    std::size_t chunk_bytes) {
+  World world(world_size);
+  EXPECT_TRUE(world.set_transport(transport));
+  PipelineOptions pipe;
+  pipe.enabled = chunk_bytes > 0;
+  if (chunk_bytes > 0) pipe.chunk_bytes = chunk_bytes;
+  world.set_pipeline(pipe);
+  std::vector<RankBytes> out;
+  for (const RankBytes& in : inputs) out.emplace_back(in.size());
+  world.run([&](Comm& comm) {
+    for (std::size_t g = 0; g < groups.size(); ++g) {
+      const std::vector<int>& group = groups[g];
+      const auto it = std::find(group.begin(), group.end(), comm.rank());
+      if (!group.empty() && it == group.end()) continue;
+      const std::size_t idx = group.empty()
+                                  ? static_cast<std::size_t>(comm.rank())
+                                  : static_cast<std::size_t>(it - group.begin());
+      std::vector<std::byte> buf = inputs[g][idx];
+      rvh_allreduce_sum(comm, buf.data(), count, dtype, /*tag_base=*/0, group,
+                        comp);
+      out[g][idx] = std::move(buf);
+    }
+  });
+  return out;
+}
+
+RankBytes run_rvh_sum(const RankBytes& inputs, std::size_t count, DType dtype,
+                      const CompressionOptions& comp, const char* transport,
+                      std::size_t chunk_bytes) {
+  return run_rvh_sum_groups(static_cast<int>(inputs.size()), {{}}, {inputs},
+                            count, dtype, comp, transport, chunk_bytes)[0];
+}
+
+void expect_rank_bytes_equal(const RankBytes& got, const RankBytes& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t r = 0; r < got.size(); ++r) {
+    ASSERT_EQ(got[r].size(), want[r].size()) << "rank " << r;
+    EXPECT_TRUE(got[r].empty() ||
+                std::memcmp(got[r].data(), want[r].data(), got[r].size()) == 0)
+        << "rank " << r;
+  }
+}
+
+constexpr const char* kTransports[] = {"mailbox", "shm"};
+constexpr std::size_t kPipelineChunks[] = {0, 4096};
+
+TEST(SumRvhOracle, UncompressedBitIdenticalToSerialSchedule) {
+  CompressionOptions none;
+  none.mode = CompressionMode::kNone;
+  for (int p : {2, 4, 8, 16})
+    for (DType dtype : {DType::kFloat32, DType::kFloat64, DType::kFloat16})
+      for (std::size_t n : {std::size_t{1}, std::size_t{7}, std::size_t{1000},
+                            std::size_t{100003}}) {
+        const RankBytes inputs = random_rank_inputs(p, n, dtype, 118);
+        const RankBytes want = simulate_rvh_sum(inputs, n, dtype, none);
+        for (const char* transport : kTransports)
+          for (std::size_t chunk : kPipelineChunks) {
+            SCOPED_TRACE(::testing::Message()
+                         << "p=" << p << " " << dtype_name(dtype) << " n=" << n
+                         << " " << transport << " chunk=" << chunk);
+            expect_rank_bytes_equal(
+                run_rvh_sum(inputs, n, dtype, none, transport, chunk),
+                want);
+          }
+      }
+}
+
+TEST(SumRvhOracle, CompressedBitIdenticalToSerialSchedule) {
+  for (int p : {2, 4, 8})
+    for (CompressionMode mode : {CompressionMode::kInt8,
+                                 CompressionMode::kInt4,
+                                 CompressionMode::kSign})
+      for (bool stochastic : {true, false})
+        for (std::size_t n : {std::size_t{9}, std::size_t{1000},
+                              std::size_t{65537}}) {
+          CompressionOptions comp;
+          comp.mode = mode;
+          comp.block_bytes = 512;
+          comp.stochastic = stochastic;
+          const RankBytes inputs =
+              random_rank_inputs(p, n, DType::kFloat32, 119);
+          const RankBytes want =
+              simulate_rvh_sum(inputs, n, DType::kFloat32, comp);
+          for (const char* transport : kTransports)
+            for (std::size_t chunk : kPipelineChunks) {
+              SCOPED_TRACE(::testing::Message()
+                           << "p=" << p << " " << compression_mode_name(mode)
+                           << " stochastic=" << stochastic << " n=" << n
+                           << " " << transport << " chunk=" << chunk);
+              expect_rank_bytes_equal(
+                  run_rvh_sum(inputs, n, DType::kFloat32, comp, transport,
+                              chunk),
+                  want);
+            }
+        }
+}
+
+TEST(SumRvhOracle, PermutedSubgroupsBitIdenticalToSerialSchedule) {
+  // Two interleaved, permuted groups of four inside an 8-rank world reduce
+  // concurrently on the same tags; each must match the simulation over its
+  // own group order.
+  const std::vector<int> g0{5, 2, 7, 0};
+  const std::vector<int> g1{6, 3, 1, 4};
+  const std::size_t n = 1000;
+  CompressionOptions none;
+  none.mode = CompressionMode::kNone;
+  CompressionOptions int8;
+  int8.mode = CompressionMode::kInt8;
+  int8.block_bytes = 512;
+  for (const CompressionOptions& comp : {none, int8}) {
+    const RankBytes in0 = random_rank_inputs(4, n, DType::kFloat32, 120);
+    const RankBytes in1 = random_rank_inputs(4, n, DType::kFloat32, 121);
+    const RankBytes want0 = simulate_rvh_sum(in0, n, DType::kFloat32, comp);
+    const RankBytes want1 = simulate_rvh_sum(in1, n, DType::kFloat32, comp);
+    for (const char* transport : kTransports)
+      for (std::size_t chunk : kPipelineChunks) {
+        SCOPED_TRACE(::testing::Message()
+                     << compression_mode_name(comp.mode) << " " << transport
+                     << " chunk=" << chunk);
+        const std::vector<RankBytes> out =
+            run_rvh_sum_groups(8, {g0, g1}, {in0, in1}, n, DType::kFloat32,
+                               comp, transport, chunk);
+        expect_rank_bytes_equal(out[0], want0);
+        expect_rank_bytes_equal(out[1], want1);
+      }
+  }
 }
 
 // ---------------------------------------------------------------------------
