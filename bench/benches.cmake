@@ -16,6 +16,10 @@ set(ADASUM_BENCH_LIBS
 function(adasum_add_bench name)
   add_executable(${name} ${CMAKE_SOURCE_DIR}/bench/${name}.cpp)
   target_link_libraries(${name} PRIVATE ${ADASUM_BENCH_LIBS} ${ARGN})
+  # Lets a bench find repo files (scripts/known_shape_failures.txt) from any
+  # working directory.
+  target_compile_definitions(${name} PRIVATE
+    ADASUM_SOURCE_DIR="${CMAKE_SOURCE_DIR}")
   set_target_properties(${name} PROPERTIES
     RUNTIME_OUTPUT_DIRECTORY ${CMAKE_BINARY_DIR}/bench)
 endfunction()

@@ -14,6 +14,11 @@
 // After the recursion bottoms out, a mirrored allgather reassembles the
 // combined vector on all ranks.
 //
+// The halving/unwind schedule is shared with the elementwise RVH sum
+// (collectives/rvh_allreduce.cpp, DESIGN.md §8); steps 2-4 are the Adasum
+// combiner. Level l exchanges halves on tag_base + 8*l, allreduces the dot
+// triples on +1 and unwinds on +2.
+//
 // Requires a power-of-two world size (Algorithm 1's precondition); the
 // dispatcher in allreduce.h falls back to a gather-based tree for other
 // sizes.

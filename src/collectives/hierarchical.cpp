@@ -63,8 +63,9 @@ void cross_allreduce(Comm& comm, std::byte* data, std::size_t n, DType dtype,
   const std::size_t elem = dtype_size(dtype);
   const std::size_t bytes = n * elem;
   const std::size_t chunk = comm.pipeline().chunk_bytes_for(elem);
-  // Fold tags sit above the RVH tag range (tag+0..tag+8*levels+2, levels
-  // <= 30) and well below the next collective's namespace.
+  // Fold tags sit above the RVH tag range that sum and Adasum share
+  // (tag + 8*level + {0, 1, 2}, levels <= 30) and well below the next
+  // collective's namespace.
   const int fold_in_tag = tag + 800;
   const int fold_out_tag = tag + 801;
 

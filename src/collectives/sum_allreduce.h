@@ -4,7 +4,10 @@
 //  * ring: the classic bandwidth-optimal chunked ring (reduce-scatter phase
 //    of p-1 steps, allgather phase of p-1 steps), works for any world size;
 //  * rvh: recursive vector halving + doubling, latency-and-bandwidth optimal
-//    on hypercubes (Chan et al.), power-of-two world sizes.
+//    on hypercubes (Chan et al.), power-of-two world sizes. It is the sum
+//    combiner of the RVH skeleton AdasumRVH also runs on
+//    (collectives/rvh_allreduce.cpp, DESIGN.md §8): level l exchanges
+//    halves on tag_base + 8*l and unwinds on +2.
 // Both produce the identical elementwise sum; tests assert so.
 #pragma once
 

@@ -160,6 +160,10 @@ double CostModel::rvh_allreduce_adasum(double bytes, int num_layers) const {
 
 double CostModel::rvh_allreduce_adasum_pipelined(double bytes,
                                                  int num_layers) const {
+  // Unchunked, the schedule IS the monolithic one: price it with the same
+  // expression, so the two agree to the last bit (summing the same terms in
+  // another order would not).
+  if (chunk_bytes_ <= 0.0) return rvh_allreduce_adasum(bytes, num_layers);
   const int p = topology_.total_gpus();
   if (p == 1) return 0.0;
   ADASUM_CHECK_GE(num_layers, 1);

@@ -273,12 +273,16 @@ TEST(Analysis, ScheduleMismatchProducesExpectedVsObservedDiff) {
                             Violation::Kind::kScheduleMismatch));
 }
 
-// One Adasum allreduce under the analyzer, all world sizes 2–8: every
-// declared collective epoch must validate, no violations may appear, and the
-// result must stay bit-for-bit identical to the analyzer-off run.
+// One Adasum and one sum allreduce under the analyzer, all world sizes 2–8:
+// every declared collective epoch must validate, no violations may appear,
+// and the result must stay bit-for-bit identical to the analyzer-off run.
+// kAuto sends power-of-two worlds through the shared RVH skeleton (Adasum
+// and sum combiners) and the others to the gather tree or the ring.
 TEST(Analysis, CleanAdasumEpochsValidateAtWorldSizes2To8) {
+  for (const ReduceOp op : {ReduceOp::kAdasum, ReduceOp::kSum})
   for (int p = 2; p <= 8; ++p) {
-    SCOPED_TRACE("world size " + std::to_string(p));
+    SCOPED_TRACE(std::string(op == ReduceOp::kSum ? "sum" : "adasum") +
+                 " world size " + std::to_string(p));
     const std::size_t count = 257;  // odd, exercises uneven halving
 
     const auto make_input = [&](int rank) {
@@ -292,8 +296,8 @@ TEST(Analysis, CleanAdasumEpochsValidateAtWorldSizes2To8) {
       w.run([&](Comm& comm) {
         Tensor t = make_input(comm.rank());
         AllreduceOptions opts;
-        opts.op = ReduceOp::kAdasum;
-        opts.algo = AllreduceAlgo::kAuto;  // RVH for pow2, gather-tree else
+        opts.op = op;
+        opts.algo = AllreduceAlgo::kAuto;  // RVH for pow2, tree/ring else
         allreduce(comm, t, opts);
         outs[static_cast<std::size_t>(comm.rank())] = std::move(t);
       });
@@ -360,6 +364,24 @@ TEST(Analysis, RingAndHierarchicalEpochsValidate) {
     // of its phases' validated ones.
     EXPECT_GT(world.analyzer()->epochs_observed(),
               world.analyzer()->epochs_validated());
+  }
+  {
+    // Sum mode: the cross-node phase is RVH sum over a group of world ranks.
+    World world(8);
+    world.enable_analyzer();
+    world.run([](Comm& comm) {
+      Tensor t({128});
+      Rng rng(11 + static_cast<std::uint64_t>(comm.rank()));
+      for (std::size_t i = 0; i < t.size(); ++i) t.set(i, rng.normal());
+      AllreduceOptions opts;
+      opts.op = ReduceOp::kSum;
+      opts.algo = AllreduceAlgo::kHierarchical;
+      opts.ranks_per_node = 2;
+      allreduce(comm, t, opts);
+    });
+    EXPECT_TRUE(world.analyzer()->violations().empty())
+        << world.analyzer()->report();
+    EXPECT_GT(world.analyzer()->epochs_validated(), 0u);
   }
 }
 

@@ -543,6 +543,34 @@ TEST(FaultTolerance, RecoveryEnrollAgreesOnSortedAliveGroup) {
   for (const std::vector<int>& g : groups) EXPECT_EQ(g, expected);
 }
 
+TEST(CostModel, UnchunkedPipelinedPriceIsExactlyMonolithic) {
+  // chunk_bytes() == 0 must price the pipelined schedule with the very same
+  // expression as the monolithic one: equal to the last bit, not to a
+  // tolerance, on flat, hierarchical, folding (non-power-of-two) and
+  // compressed worlds alike.
+  CompressionOptions int8;
+  int8.mode = CompressionMode::kInt8;
+  const Topology worlds[] = {
+      Topology::azure_fig4(), Topology::dgx2(16),
+      Topology::cluster(3, 4, links::pcie3(), links::infiniband100())};
+  for (const Topology& topology : worlds) {
+    for (bool compressed : {false, true}) {
+      CostModel m(topology);
+      if (compressed) m.set_wire_compression(int8);
+      ASSERT_EQ(m.chunk_bytes(), 0.0);
+      for (int exp = 10; exp <= 28; ++exp) {
+        const double bytes = static_cast<double>(std::uint64_t{1} << exp);
+        for (int layers : {1, 64, 391}) {
+          EXPECT_EQ(m.rvh_allreduce_adasum_pipelined(bytes, layers),
+                    m.rvh_allreduce_adasum(bytes, layers))
+              << "gpus=" << topology.total_gpus() << " compressed="
+              << compressed << " bytes=2^" << exp << " layers=" << layers;
+        }
+      }
+    }
+  }
+}
+
 TEST(CostModel, RingAdasumSlowerThanRvhAdasum) {
   // §4.2.3: the linear/ring application gave less throughput than AdasumRVH.
   CostModel m(Topology::azure_fig4());
