@@ -54,7 +54,6 @@ struct RvhCall {
   std::span<const int> group;  // empty = the whole world
   DType dtype;
   std::size_t elem;
-  std::size_t count;
   CompressionOptions wire;  // resolved codec of the bulk transfers
   std::byte* scratch;       // pooled room for the partner's largest half
 
@@ -112,12 +111,10 @@ SliceLocal intersect(const TensorSlice& s, std::size_t begin,
 class AdasumCombiner {
  public:
   // Leases the per-layer triples and the block's rank list from the pool
-  // (no steady-state allocation). An empty `slices` is one whole layer.
-  AdasumCombiner(const RvhCall& call, std::span<const TensorSlice> slices)
+  // (no steady-state allocation).
+  AdasumCombiner(const RvhCall& call, std::span<const TensorSlice> layers)
       : call_(call),
-        whole_{"all", 0, call.count},
-        layers_(slices.empty() ? std::span<const TensorSlice>{&whole_, 1}
-                               : slices),
+        layers_(layers),
         triples_buf_(call.comm.pool(), 3 * layers_.size() * sizeof(double)),
         triples_(triples_buf_.as<double>(3 * layers_.size())),
         block_buf_(call.comm.pool(),
@@ -253,7 +250,6 @@ class AdasumCombiner {
   }
 
   const RvhCall& call_;
-  const TensorSlice whole_;
   const std::span<const TensorSlice> layers_;
   PooledBuffer triples_buf_;
   const std::span<double> triples_;
@@ -299,12 +295,12 @@ void rvh_allreduce(Comm& comm, std::byte* data, std::size_t count,
   BufferPool& pool = comm.pool();
   // The largest incoming half is ceil(count/2) elements, at level 0.
   PooledBuffer half_buf(pool, ((count + 1) / 2) * elem);
+  const RvhCall call{comm, group, dtype, elem, comp, half_buf.data()};
+  Combiner combiner(call, std::forward<Args>(combiner_args)...);
   PooledBuffer plan_buf(pool,
                         static_cast<std::size_t>(levels) * sizeof(RvhLevel));
   const std::span<RvhLevel> plan =
       plan_buf.as<RvhLevel>(static_cast<std::size_t>(levels));
-  const RvhCall call{comm, group, dtype, elem, count, comp, half_buf.data()};
-  Combiner combiner(call, std::forward<Args>(combiner_args)...);
 
   std::size_t seg_begin = 0;
   std::size_t seg_count = count;
@@ -373,12 +369,8 @@ void rvh_allreduce(Comm& comm, std::byte* data, std::size_t count,
     // publishes a VIEW of the caller's buffer. That range stays untouched
     // until this level's unwind receive, which happens-after the partner
     // released the view (its finish precedes its unwind send).
-    if (wc.active())
-      wc.send(level.peer, sent, level.sent_count, chunk, level.tag);
-    else
-      comm.send_bulk(level.peer, {sent, level.sent_count * elem}, chunk,
-                     level.tag);
     if (wc.active()) {
+      wc.send(level.peer, sent, level.sent_count, chunk, level.tag);
       // recv_apply holds the (possibly zero-copy) blob for the callback's
       // whole body, across the combiner's nested traffic.
       wc.recv_apply(level.peer, level.kept_count, chunk, level.tag,
@@ -387,6 +379,8 @@ void rvh_allreduce(Comm& comm, std::byte* data, std::size_t count,
                       combiner.finish(level, kept, nullptr, blob);
                     });
     } else {
+      comm.send_bulk(level.peer, {sent, level.sent_count * elem}, chunk,
+                     level.tag);
       // The partner's half lives in the pooled scratch on the eager path
       // and in the PEER's published span on a zero-copy transport; `held`
       // keeps the view alive through finish, and its release unblocks the
@@ -413,19 +407,16 @@ void rvh_allreduce(Comm& comm, std::byte* data, std::size_t count,
     std::byte* const kept = data + level.kept_begin * elem;
     std::byte* const dest = data + level.sent_begin * elem;
     const int tag = level.tag + 2;
-    if (wc.active())
-      wc.send_requantize(level.peer, kept, level.kept_count, chunk, tag);
-    else
-      // Unwind segments published as views are never rewritten before the
-      // closing fence.
-      comm.send_bulk(level.peer, {kept, level.kept_count * elem}, chunk, tag);
     if (wc.active()) {
+      wc.send_requantize(level.peer, kept, level.kept_count, chunk, tag);
       wc.recv_into(level.peer, dest, level.sent_count, chunk, tag);
     } else {
-      // The landed segment is final output the caller reads much later, so
-      // the zero-copy path deposits the peer's span with non-temporal
-      // stores; the eager path already received straight into `dest`
-      // (base == dest) and needs no copy at all.
+      // Unwind segments published as views are never rewritten before the
+      // closing fence. The landed segment is final output the caller reads
+      // much later, so the zero-copy path deposits the peer's span with
+      // non-temporal stores; the eager path already received straight into
+      // `dest` (base == dest) and needs no copy at all.
+      comm.send_bulk(level.peer, {kept, level.kept_count * elem}, chunk, tag);
       BulkRecv held = comm.recv_bulk(
           level.peer, {dest, level.sent_count * elem}, chunk, tag,
           [&](const std::byte* base, std::size_t off, std::size_t len) {
@@ -447,8 +438,11 @@ void adasum_rvh_allreduce(Comm& comm, std::byte* data, std::size_t count,
                           DType dtype, std::span<const TensorSlice> slices,
                           int tag_base, std::span<const int> group,
                           const CompressionOptions& compression) {
-  rvh_allreduce<AdasumCombiner>(comm, data, count, dtype, tag_base, group,
-                                compression, "adasum_rvh", slices);
+  // Whole payload as a single layer when no boundary table is given.
+  const TensorSlice whole{"all", 0, count};
+  rvh_allreduce<AdasumCombiner>(
+      comm, data, count, dtype, tag_base, group, compression, "adasum_rvh",
+      slices.empty() ? std::span<const TensorSlice>{&whole, 1} : slices);
 }
 
 void adasum_rvh_allreduce(Comm& comm, Tensor& tensor,
