@@ -524,7 +524,7 @@ void fault_path_overhead() {
 }  // namespace
 
 int main() {
-  bench::ShapeGate gate(ADASUM_SOURCE_DIR
+  bench::ShapeGate gate(BENCH_SOURCE_DIR
                         "/scripts/known_shape_failures.txt");
   predicted_latency_curve(gate);
   // The measured-timing checks below stay print-only: they depend on the

@@ -19,7 +19,7 @@ function(adasum_add_bench name)
   # Lets a bench find repo files (scripts/known_shape_failures.txt) from any
   # working directory.
   target_compile_definitions(${name} PRIVATE
-    ADASUM_SOURCE_DIR="${CMAKE_SOURCE_DIR}")
+    BENCH_SOURCE_DIR="${CMAKE_SOURCE_DIR}")
   set_target_properties(${name} PROPERTIES
     RUNTIME_OUTPUT_DIRECTORY ${CMAKE_BINARY_DIR}/bench)
 endfunction()
