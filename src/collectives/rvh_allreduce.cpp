@@ -64,19 +64,20 @@ struct RvhCall {
 
 // Elementwise sum: each arriving span is added where it lands, so the sum
 // overlaps the rest of the stream and is bit-identical to a whole-half add.
-struct SumCombiner {
-  explicit SumCombiner(const RvhCall& rvh) : call(rvh) {}
+class SumCombiner {
+ public:
+  explicit SumCombiner(const RvhCall& call) : call_(call) {}
 
   void arrive(const RvhLevel&, std::byte* kept, const std::byte* theirs,
               std::size_t off, std::size_t len) {
-    kernels::add_bytes(theirs + off, kept + off, len / call.elem, call.dtype);
+    kernels::add_bytes(theirs + off, kept + off, len / call_.elem, call_.dtype);
   }
   // Fused decode-add straight off the (possibly zero-copy) blob: one pass
   // over the wire bytes, no decoded staging copy, and the sum still runs on
   // decoded fp32 values with double accumulation (DESIGN.md §17).
   void arrive_blob(const RvhLevel& level, std::byte* kept,
                    const std::byte* blob) {
-    decompress_add_f32(blob, call.wire, level.kept_count, /*offset=*/0,
+    decompress_add_f32(blob, call_.wire, level.kept_count, /*offset=*/0,
                        {reinterpret_cast<float*>(kept), level.kept_count});
   }
   void finish(const RvhLevel&, std::byte*, const std::byte*,
@@ -85,7 +86,8 @@ struct SumCombiner {
   void declare(analysis::EpochExpectation&, const RvhLevel&) {}
 #endif
 
-  const RvhCall& call;
+ private:
+  const RvhCall& call_;
 };
 
 // Returns the intersection of [s.offset, s.offset+s.count) with
