@@ -5,7 +5,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <cstring>
+#include <ostream>
 #include <numeric>
 
 #include "base/rng.h"
@@ -48,11 +50,38 @@ Tensor serial_sum(const std::vector<Tensor>& grads) {
   return acc;
 }
 
+// gtest prints a parameter type that has no PrintTo of its own as its raw
+// object bytes, struct padding included, and ctest names each case after that
+// text. Padding holds whatever the heap held, so those names changed from run
+// to run. This prints the same "<n>-byte object <..>" form with the padding
+// zeroed: only the listed members' bytes are copied in.
+template <class T, class... M>
+void print_zero_padded(const T& value, std::ostream* os, M T::*... members) {
+  unsigned char bytes[sizeof(T)] = {};
+  const auto* base = reinterpret_cast<const unsigned char*>(&value);
+  (std::memcpy(bytes + (reinterpret_cast<const unsigned char*>(
+                            &(value.*members)) - base),
+               &(value.*members), sizeof(M)),
+   ...);
+  *os << sizeof(T) << "-byte object <";
+  for (std::size_t i = 0; i < sizeof(T); ++i) {
+    if (i != 0) *os << (i % 2 == 0 ? ' ' : '-');
+    char hex[3];
+    std::snprintf(hex, sizeof hex, "%02X", bytes[i]);
+    *os << hex;
+  }
+  *os << '>';
+}
+
 struct Config {
   int ranks;
   std::size_t count;
   DType dtype;
 };
+
+void PrintTo(const Config& c, std::ostream* os) {
+  print_zero_padded(c, os, &Config::ranks, &Config::count, &Config::dtype);
+}
 
 class SumAllreduceTest : public ::testing::TestWithParam<Config> {};
 
@@ -378,6 +407,11 @@ struct ParityConfig {
   DType dtype;
   SliceTable table;
 };
+
+void PrintTo(const ParityConfig& c, std::ostream* os) {
+  print_zero_padded(c, os, &ParityConfig::ranks, &ParityConfig::count,
+                    &ParityConfig::dtype, &ParityConfig::table);
+}
 
 class InplaceRvhParityTest : public ::testing::TestWithParam<ParityConfig> {};
 
