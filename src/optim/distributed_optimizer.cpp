@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
+#include <optional>
+#include <span>
 
 #include "base/check.h"
 #include "comm/buffer_pool.h"
@@ -114,39 +116,22 @@ bool DistributedOptimizer::step(double lr) {
   return true;
 }
 
-ReduceOutcome DistributedOptimizer::reduce_tensors(
-    std::vector<Tensor*>& tensors, ReduceOp op) {
-  if (bucketed()) return reduce_bucketed(tensors, op);
-  AllreduceOptions opts;
-  opts.op = op;
-  opts.algo = options_.algo;
-  opts.ranks_per_node = options_.ranks_per_node;
-  opts.compression = options_.wire_compression;
-  // tag namespace per round so back-to-back rounds cannot cross-talk.
-  const int tag_base = (tag_round_++ % 64) * 65536;
-  // Pack through the persistent FusionBuffer: one fuse per round (the old
-  // non-layerwise path fused twice to restore the table), and warm rounds
-  // reuse the fused backing store outright. An empty slice table already
-  // means "treat the payload as one layer", so the non-layerwise case just
-  // leaves opts.slices empty — the boundary table stays intact for unpack.
-  std::vector<const Tensor*> views(tensors.begin(), tensors.end());
-  FusedTensor& fused = fusion_.pack(views);
-  if (options_.layerwise) opts.slices = fused.slices;
-  // resilient_allreduce is a plain allreduce when the world is not
-  // fault-tolerant; otherwise peer failures degrade the group instead of
-  // crashing the round.
-  const ResilientResult res =
-      resilient_allreduce(comm_, fused.flat, opts, tag_base);
-  if (res.outcome == ReduceOutcome::kDegraded) ++degraded_rounds_;
-  fusion_.unpack(tensors);
-  return res.outcome;
-}
-
 CommEngine& DistributedOptimizer::engine() {
   if (!engine_)
     engine_ = std::make_unique<CommEngine>(
         comm_, std::max<std::size_t>(buckets_.size(), 64));
   return *engine_;
+}
+
+const std::vector<Tensor*>& DistributedOptimizer::param_views(
+    std::vector<Tensor*>& cache, Tensor nn::Parameter::*member) {
+  const auto& params = inner_->params();
+  if (cache.size() != params.size()) {
+    cache.clear();
+    cache.reserve(params.size());
+    for (nn::Parameter* p : params) cache.push_back(&(p->*member));
+  }
+  return cache;
 }
 
 void DistributedOptimizer::ensure_buckets(
@@ -192,13 +177,22 @@ void DistributedOptimizer::ensure_buckets(
     bk.launched = false;
   }
   grad_ready_.assign(tensors.size(), 0);
-  pack_views_.reserve(tensors.size());
+  bucket_views_.reserve(tensors.size());
   unpack_views_.reserve(tensors.size());
-  // reduce_bucketed queues every bucket before joining, so the engine ring
-  // must hold a whole round. Safe to swap here: the CHECKs above proved the
+  // A round queues every bucket before joining, so the engine ring must
+  // hold a whole round. Safe to swap here: the CHECKs above proved the
   // engine is idle.
   if (options_.background && engine_ && engine_->capacity() < buckets_.size())
     engine_.reset();
+}
+
+const std::vector<const Tensor*>& DistributedOptimizer::bucket_views(
+    std::size_t b, const std::vector<Tensor*>& tensors) {
+  const Bucket& bk = buckets_[b];
+  bucket_views_.assign(
+      tensors.begin() + static_cast<std::ptrdiff_t>(bk.first),
+      tensors.begin() + static_cast<std::ptrdiff_t>(bk.last));
+  return bucket_views_;
 }
 
 int DistributedOptimizer::acquire_round_index() {
@@ -218,21 +212,22 @@ int DistributedOptimizer::bucket_tag_base(int round_index,
   return static_cast<int>(slot) * 65536;
 }
 
-void DistributedOptimizer::launch_bucket(std::size_t b,
-                                         const std::vector<Tensor*>& tensors,
-                                         ReduceOp op, int round_index) {
+void DistributedOptimizer::launch_bucket(std::size_t b, ReduceOp op,
+                                         int round_index) {
   Bucket& bk = buckets_[b];
   ADASUM_CHECK(!bk.launched);
-  pack_views_.assign(tensors.begin() + static_cast<std::ptrdiff_t>(bk.first),
-                     tensors.begin() + static_cast<std::ptrdiff_t>(bk.last));
-  FusedTensor& fused = bk.fusion.pack(pack_views_);
+  FusedTensor& fused = bk.fusion.fused();
   bk.opts.op = op;
   // The slice table depends only on the layout, which ensure_buckets pinned;
   // copy it once per layout instead of once per round (steady state must
-  // not allocate).
+  // not allocate). An empty table already means "one layer", so the
+  // non-layerwise case leaves it empty.
   if (options_.layerwise && bk.opts.slices.size() != fused.slices.size())
     bk.opts.slices = fused.slices;
   const int tag_base = bucket_tag_base(round_index, b);
+  // resilient_allreduce is a plain allreduce when the world is not
+  // fault-tolerant; otherwise peer failures degrade the group instead of
+  // crashing the round.
   if (options_.background) {
     bk.ticket = engine().submit_allreduce(fused.flat, bk.opts, tag_base);
   } else {
@@ -242,21 +237,15 @@ void DistributedOptimizer::launch_bucket(std::size_t b,
   bk.launched = true;
 }
 
-ReduceOutcome DistributedOptimizer::reduce_bucketed(
-    std::vector<Tensor*>& tensors, ReduceOp op) {
-  ensure_buckets(tensors);
-  const int round = acquire_round_index();
-  // Launch whatever notify_grad_ready has not already sent. In background
-  // mode the engine executes strictly in order, so queueing everything up
-  // front is safe and lets the joins below overlap the later buckets.
-  for (std::size_t b = next_unlaunched_; b < buckets_.size(); ++b)
-    launch_bucket(b, tensors, op, round);
+template <class Finish>
+ReduceOutcome DistributedOptimizer::join_round(Finish&& finish) {
   ReduceOutcome worst = ReduceOutcome::kOk;
   bool any_degraded = false;
   for (std::size_t b = 0; b < buckets_.size(); ++b) {
     Bucket& bk = buckets_[b];
     const ResilientResult res =
         options_.background ? engine().wait(bk.ticket) : bk.inline_result;
+    bk.launched = false;
     if (res.outcome == ReduceOutcome::kDegraded) {
       any_degraded = true;
       if (worst == ReduceOutcome::kOk) worst = ReduceOutcome::kDegraded;
@@ -267,17 +256,33 @@ ReduceOutcome DistributedOptimizer::reduce_bucketed(
       // takes the same branch.
       worst = ReduceOutcome::kSkipped;
     }
-    unpack_views_.assign(
-        tensors.begin() + static_cast<std::ptrdiff_t>(bk.first),
-        tensors.begin() + static_cast<std::ptrdiff_t>(bk.last));
-    bk.fusion.unpack(unpack_views_);
-    bk.launched = false;
+    finish(b);
   }
   if (any_degraded) ++degraded_rounds_;
   next_unlaunched_ = 0;
   round_index_ = -1;
   std::fill(grad_ready_.begin(), grad_ready_.end(), char{0});
   return worst;
+}
+
+ReduceOutcome DistributedOptimizer::reduce_tensors(
+    const std::vector<Tensor*>& tensors, ReduceOp op) {
+  ensure_buckets(tensors);
+  const int round = acquire_round_index();
+  // Launch whatever notify_grad_ready has not already sent. In background
+  // mode the engine executes strictly in order, so queueing everything up
+  // front is safe and lets the joins below overlap the later buckets.
+  for (std::size_t b = next_unlaunched_; b < buckets_.size(); ++b) {
+    buckets_[b].fusion.pack(bucket_views(b, tensors));
+    launch_bucket(b, op, round);
+  }
+  return join_round([&](std::size_t b) {
+    const Bucket& bk = buckets_[b];
+    unpack_views_.assign(
+        tensors.begin() + static_cast<std::ptrdiff_t>(bk.first),
+        tensors.begin() + static_cast<std::ptrdiff_t>(bk.last));
+    bk.fusion.unpack(unpack_views_);
+  });
 }
 
 void DistributedOptimizer::notify_grad_ready(std::size_t param_index) {
@@ -287,15 +292,10 @@ void DistributedOptimizer::notify_grad_ready(std::size_t param_index) {
   // Only the communicating microstep reduces; earlier microsteps are still
   // accumulating, so their "ready" gradients are not final.
   if (micro_step_ != options_.local_steps - 1) return;
-  const auto& params = inner_->params();
-  ADASUM_CHECK_LT(param_index, params.size());
-  if (grads_view_.size() != params.size()) {
-    grads_view_.clear();
-    grads_view_.reserve(params.size());
-    for (nn::Parameter* p : inner_->params())
-      grads_view_.push_back(&p->grad);
-  }
-  ensure_buckets(grads_view_);
+  ADASUM_CHECK_LT(param_index, inner_->params().size());
+  const std::vector<Tensor*>& grads =
+      param_views(grads_view_, &nn::Parameter::grad);
+  ensure_buckets(grads);
   grad_ready_[param_index] = 1;
   const int round = acquire_round_index();
   // Buckets launch in order the moment every tensor in them is ready —
@@ -306,19 +306,16 @@ void DistributedOptimizer::notify_grad_ready(std::size_t param_index) {
     for (std::size_t i = bk.first; ready && i < bk.last; ++i)
       ready = grad_ready_[i] != 0;
     if (!ready) break;
-    launch_bucket(next_unlaunched_, grads_view_, options_.op, round);
+    buckets_[next_unlaunched_].fusion.pack(
+        bucket_views(next_unlaunched_, grads));
+    launch_bucket(next_unlaunched_, options_.op, round);
     ++next_unlaunched_;
   }
 }
 
 ReduceOutcome DistributedOptimizer::communicate_gradients() {
-  if (grads_view_.size() != inner_->params().size()) {
-    grads_view_.clear();
-    grads_view_.reserve(inner_->params().size());
-    for (nn::Parameter* p : inner_->params())
-      grads_view_.push_back(&p->grad);
-  }
-  return reduce_tensors(grads_view_, options_.op);
+  return reduce_tensors(param_views(grads_view_, &nn::Parameter::grad),
+                        options_.op);
 }
 
 bool DistributedOptimizer::round_overflowed_globally(bool local_overflow) {
@@ -344,177 +341,144 @@ void DistributedOptimizer::revert_to_round_start() {
   }
 }
 
-void DistributedOptimizer::communicate_effective_gradient_overlapped() {
-  const auto& params = inner_->params();
-  // Persistent deltas: first round allocates, warm rounds only compute.
-  bool reuse = eff_.size() == params.size();
-  for (std::size_t i = 0; reuse && i < params.size(); ++i)
-    reuse = eff_[i].nbytes() == params[i]->value.nbytes();
-  if (!reuse) {
-    eff_.clear();
-    eff_views_.clear();
-    eff_.reserve(params.size());
-    eff_views_.reserve(params.size());
-    for (const nn::Parameter* p : params) eff_.push_back(p->value.clone());
-    for (Tensor& t : eff_) eff_views_.push_back(&t);
-  }
-  ensure_buckets(eff_views_);
-  const int round = acquire_round_index();
-  // The pipeline: compute bucket b's deltas, submit, move on — the engine
-  // reduces bucket b while this thread computes bucket b+1 (Figure 3's
-  // compute/communication overlap, applied to the local-SGD delta).
-  for (std::size_t b = 0; b < buckets_.size(); ++b) {
-    const Bucket& bk = buckets_[b];
-    for (std::size_t i = bk.first; i < bk.last; ++i) {
-      std::memcpy(eff_[i].data(), params[i]->value.data(),
-                  params[i]->value.nbytes());
-      kernels::axpy(-1.0, round_start_[i].span<float>(),
-                    eff_[i].span<float>());
-    }
-    launch_bucket(b, eff_views_, ReduceOp::kAdasum, round);
-    ++next_unlaunched_;
-  }
-  // Joins every bucket in order and unpacks; launches nothing new.
-  if (reduce_bucketed(eff_views_, ReduceOp::kAdasum) ==
-      ReduceOutcome::kSkipped) {
-    revert_to_round_start();
-    ++skipped_rounds_;
-    return;
-  }
-  for (std::size_t i = 0; i < params.size(); ++i) {
-    std::memcpy(params[i]->value.data(), round_start_[i].data(),
-                round_start_[i].nbytes());
-    kernels::add(eff_[i].span<float>(), params[i]->value.span<float>());
-  }
+namespace {
+
+// Tensor `s`'s slice of a fused fp32 staging buffer.
+std::span<float> slice_of(FusedTensor& fused, const TensorSlice& s) {
+  return fused.flat.span<float>().subspan(s.offset, s.count);
 }
 
+}  // namespace
+
 void DistributedOptimizer::communicate_effective_gradient() {
+  if (options_.compression == GradientCompression::kFp16) {
+    communicate_effective_gradient_fp16();
+    return;
+  }
   // Resolve the wire codec the collectives will apply; the error-feedback
-  // pre-pass below must mirror it exactly.
+  // pass below must mirror it exactly.
   CompressionOptions wirec = options_.wire_compression;
   if (wirec.mode == CompressionMode::kAuto) wirec = comm_.compression();
-  const bool wire_ef = wirec.active() && options_.error_feedback &&
-                       options_.compression == GradientCompression::kNone;
-  if (options_.background &&
-      options_.compression == GradientCompression::kNone && !wire_ef) {
-    // Wire compression without error feedback still flows through here: the
-    // collectives compress transfers on the engine thread transparently.
-    communicate_effective_gradient_overlapped();
-    return;
-  }
+  const bool legacy_int8 = options_.compression == GradientCompression::kInt8;
+  const bool wire_ef =
+      !legacy_int8 && wirec.active() && options_.error_feedback;
   const auto& params = inner_->params();
-  // effective_gradient = current - round_start (Figure 3).
-  std::vector<Tensor> eff;
-  eff.reserve(params.size());
-  for (std::size_t i = 0; i < params.size(); ++i) {
-    Tensor delta = params[i]->value.clone();
-    kernels::axpy(-1.0, round_start_[i].span<float>(), delta.span<float>());
-    eff.push_back(std::move(delta));
-  }
+  const std::vector<Tensor*>& values =
+      param_views(values_view_, &nn::Parameter::value);
+  ensure_buckets(values);
 
-  if (options_.compression == GradientCompression::kFp16) {
-    // Scale into fp16 (§4.4.1). Overflow on any rank skips the round on all.
-    // The vote runs on this thread BEFORE anything reaches the engine, so
-    // the single-threaded vote protocol is undisturbed by background mode.
-    const double scale = scaler_.scale();
-    std::vector<Tensor> compressed;
-    compressed.reserve(eff.size());
-    bool local_overflow = false;
-    for (const Tensor& t : eff) {
-      Tensor h = cast_to_fp16_scaled(t, scale);
-      if (tensor_overflowed(h)) local_overflow = true;
-      compressed.push_back(std::move(h));
-    }
-    const bool overflowed = round_overflowed_globally(local_overflow);
-    if (!scaler_.update(overflowed) || overflowed) {
-      // Revert to the round start: the round is skipped consistently
-      // everywhere (all ranks saw the same summed flag).
-      revert_to_round_start();
-      ++skipped_rounds_;
-      return;
-    }
-    std::vector<Tensor*> ptrs;
-    ptrs.reserve(compressed.size());
-    for (Tensor& t : compressed) ptrs.push_back(&t);
-    if (reduce_tensors(ptrs, ReduceOp::kAdasum) == ReduceOutcome::kSkipped) {
-      revert_to_round_start();
-      ++skipped_rounds_;
-      return;
-    }
-    for (std::size_t i = 0; i < params.size(); ++i) {
-      const Tensor reduced = cast_from_fp16_scaled(compressed[i], scale);
-      // w = round_start + reduced_effective_gradient.
-      std::memcpy(params[i]->value.data(), round_start_[i].data(),
-                  round_start_[i].nbytes());
-      kernels::add(reduced.span<float>(), params[i]->value.span<float>());
-    }
-    return;
-  }
-
-  if (options_.compression == GradientCompression::kInt8 || wire_ef) {
+  // Error-feedback scratch: pooled and sized once for the largest layer, so
+  // warm rounds lease the same blocks back and allocate nothing.
+  std::optional<PooledBuffer> sent_buf, code_buf;
+  if (legacy_int8 || wire_ef) {
+    std::size_t max_elems = 0;
+    for (const Tensor* t : values) max_elems = std::max(max_elems, t->size());
     if (!error_feedback_) {
       std::vector<std::size_t> sizes;
-      for (const Tensor& t : eff) sizes.push_back(t.size());
+      for (const Tensor* t : values) sizes.push_back(t->size());
       error_feedback_ = std::make_unique<ErrorFeedback>(std::move(sizes));
     }
-    std::size_t max_elems = 0;
-    for (const Tensor& t : eff) max_elems = std::max(max_elems, t.size());
-    // Pooled scratch sized once for the largest layer: warm rounds lease the
-    // same blocks back from the pool, so the steady state allocates nothing
-    // (the bench gate counts allocations across whole compressed steps).
-    PooledBuffer roundtrip_buf(comm_.pool(), max_elems * sizeof(float));
-    if (wire_ef) {
-      // Error feedback for the wire codec: compensate with last round's
-      // residual, snap the effective gradient through the exact codec the
-      // collectives apply on the wire, and bank what the snap dropped. The
-      // collective then re-quantizes grid-point values, so the transfer adds
-      // no error beyond what the residual already captured.
-      PooledBuffer blob(comm_.pool(), compressed_wire_bytes(max_elems, wirec));
-      for (std::size_t i = 0; i < eff.size(); ++i) {
-        auto values = eff[i].span<float>();
-        error_feedback_->compensate(i, values);
-        compress_f32(values, wirec, blob.data());
-        const std::span<float> transmitted =
-            roundtrip_buf.as<float>(values.size());
-        decompress_f32(blob.data(), wirec, transmitted);
-        error_feedback_->record(i, values, transmitted);
-        std::memcpy(values.data(), transmitted.data(),
-                    values.size() * sizeof(float));
-      }
-    } else {
-      // Legacy per-tensor int8 with error feedback: compensate, quantize,
-      // transmit the dequantized values (decompress-reduce transport model),
-      // and bank the new residual.
-      PooledBuffer q8_buf(comm_.pool(), max_elems);
-      for (std::size_t i = 0; i < eff.size(); ++i) {
-        auto values = eff[i].span<float>();
-        error_feedback_->compensate(i, values);
-        const std::span<std::int8_t> q = q8_buf.as<std::int8_t>(values.size());
-        const float scale = quantize_int8_into(values, q);
-        const std::span<float> transmitted =
-            roundtrip_buf.as<float>(values.size());
-        dequantize_int8(q, scale, transmitted);
-        error_feedback_->record(i, values, transmitted);
-        std::memcpy(values.data(), transmitted.data(),
-                    values.size() * sizeof(float));
-      }
-    }
+    sent_buf.emplace(comm_.pool(), max_elems * sizeof(float));
+    code_buf.emplace(comm_.pool(), wire_ef
+                                       ? compressed_wire_bytes(max_elems, wirec)
+                                       : max_elems);
   }
 
-  std::vector<Tensor*> ptrs;
-  ptrs.reserve(eff.size());
-  for (Tensor& t : eff) ptrs.push_back(&t);
-  if (reduce_tensors(ptrs, ReduceOp::kAdasum) == ReduceOutcome::kSkipped) {
+  // The pipeline: compute bucket b's deltas straight into its fused slices,
+  // submit, move on — in background mode the engine reduces bucket b while
+  // this thread computes bucket b+1 (Figure 3's compute/communication
+  // overlap, applied to the local-SGD delta).
+  const int round = acquire_round_index();
+  for (std::size_t b = 0; b < buckets_.size(); ++b) {
+    FusedTensor& fused = buckets_[b].fusion.layout(bucket_views(b, values));
+    for (std::size_t i = buckets_[b].first; i < buckets_[b].last; ++i) {
+      // effective_gradient = current - round_start (Figure 3).
+      const std::span<float> delta =
+          slice_of(fused, fused.slices[i - buckets_[b].first]);
+      kernels::scaled_sum<float>(params[i]->value.span<float>(), 1.0,
+                                 round_start_[i].span<float>(), -1.0, delta);
+      if (!sent_buf) continue;
+      // Error feedback: compensate with last round's residual, snap the
+      // delta through the exact codec the wire applies (or the legacy
+      // per-tensor int8), and bank what the snap dropped. The collective
+      // then re-quantizes grid-point values, so the transfer adds no error
+      // beyond what the residual already captured.
+      error_feedback_->compensate(i, delta);
+      const std::span<float> sent = sent_buf->as<float>(delta.size());
+      if (wire_ef) {
+        compress_f32(delta, wirec, code_buf->data());
+        decompress_f32(code_buf->data(), wirec, sent);
+      } else {
+        const std::span<std::int8_t> q =
+            code_buf->as<std::int8_t>(delta.size());
+        dequantize_int8(q, quantize_int8_into(delta, q), sent);
+      }
+      error_feedback_->record(i, delta, sent);
+      std::memcpy(delta.data(), sent.data(), delta.size_bytes());
+    }
+    launch_bucket(b, ReduceOp::kAdasum, round);
+  }
+
+  // w = round_start + reduced effective gradient, per bucket as it joins.
+  const ReduceOutcome outcome = join_round([&](std::size_t b) {
+    Bucket& bk = buckets_[b];
+    FusedTensor& fused = bk.fusion.fused();
+    for (std::size_t i = bk.first; i < bk.last; ++i)
+      kernels::scaled_sum<float>(round_start_[i].span<float>(), 1.0,
+                                 slice_of(fused, fused.slices[i - bk.first]),
+                                 1.0, params[i]->value.span<float>());
+  });
+  if (outcome == ReduceOutcome::kSkipped) {
     // No agreed-on effective gradient: every rank reverts to the round
     // start, exactly like an fp16 overflow skip.
     revert_to_round_start();
     ++skipped_rounds_;
+  }
+}
+
+void DistributedOptimizer::communicate_effective_gradient_fp16() {
+  // Scale into fp16 (§4.4.1). Overflow on any rank skips the round on all.
+  // The vote runs on this thread BEFORE anything reaches the engine, so
+  // the single-threaded vote protocol is undisturbed by background mode.
+  // The fp32 delta is computed in place in the parameter: nothing reads the
+  // parameter again before the apply overwrites it, and a skipped round
+  // restores it from the round start. The buckets are laid out over the
+  // fp16 tensors, so no fp32 staging buffer is involved.
+  const auto& params = inner_->params();
+  const double scale = scaler_.scale();
+  std::vector<Tensor> compressed;
+  compressed.reserve(params.size());
+  bool local_overflow = false;
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    const std::span<float> w = params[i]->value.span<float>();
+    kernels::scaled_sum<float>(w, 1.0, round_start_[i].span<float>(), -1.0,
+                               w);
+    Tensor h = cast_to_fp16_scaled(params[i]->value, scale);
+    if (tensor_overflowed(h)) local_overflow = true;
+    compressed.push_back(std::move(h));
+  }
+  const bool overflowed = round_overflowed_globally(local_overflow);
+  if (!scaler_.update(overflowed) || overflowed) {
+    // Revert to the round start: the round is skipped consistently
+    // everywhere (all ranks saw the same summed flag).
+    revert_to_round_start();
+    ++skipped_rounds_;
+    return;
+  }
+  std::vector<Tensor*> ptrs;
+  ptrs.reserve(compressed.size());
+  for (Tensor& t : compressed) ptrs.push_back(&t);
+  if (reduce_tensors(ptrs, ReduceOp::kAdasum) == ReduceOutcome::kSkipped) {
+    revert_to_round_start();
+    ++skipped_rounds_;
     return;
   }
   for (std::size_t i = 0; i < params.size(); ++i) {
-    std::memcpy(params[i]->value.data(), round_start_[i].data(),
-                round_start_[i].nbytes());
-    kernels::add(eff[i].span<float>(), params[i]->value.span<float>());
+    const Tensor reduced = cast_from_fp16_scaled(compressed[i], scale);
+    // w = round_start + reduced_effective_gradient.
+    kernels::scaled_sum<float>(round_start_[i].span<float>(), 1.0,
+                               reduced.span<float>(), 1.0,
+                               params[i]->value.span<float>());
   }
 }
 

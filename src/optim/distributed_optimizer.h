@@ -16,7 +16,9 @@
 //    delta from the model state since the prior allreduce is reduced.
 //
 // The effective gradient is fused per layer (§4.4.3) so Adasum applies per
-// layer (§3.6). Optional fp16 compression with dynamic scaling (§4.4.1):
+// layer (§3.6): each round computes it straight into the fused staging
+// buffer and applies the reduced result straight back (DESIGN.md, "The
+// Adasum round's data path"). Optional fp16 compression with dynamic scaling (§4.4.1):
 // payloads are scaled into fp16, reduced, and unscaled; a round that
 // overflows on any rank is skipped on all ranks (model reverts to the round
 // start) and the scale backs off.
@@ -131,6 +133,7 @@ class DistributedOptimizer {
   // single fused allreduce. The FusionBuffer and AllreduceOptions are
   // per-bucket and persistent so warm rounds re-stage in place and the
   // engine can hold a stable options pointer while the op is in flight.
+  // Without bucket_bytes there is one bucket covering every tensor.
   struct Bucket {
     std::size_t first = 0, last = 0;  // [first, last) tensor indices
     FusionBuffer fusion;
@@ -141,35 +144,45 @@ class DistributedOptimizer {
   };
 
   ReduceOutcome communicate_gradients(); // Sum/Average path
-  void communicate_effective_gradient(); // Adasum path (Figure 3)
-  // Adasum/kNone with background mode: per-bucket delta computation
-  // pipelined against the engine (compute bucket i+1 while i reduces).
-  void communicate_effective_gradient_overlapped();
-  bool bucketed() const {
-    return options_.background || options_.bucket_bytes > 0;
-  }
+  // Adasum path (Figure 3): each bucket's deltas are computed straight into
+  // its fused slices, reduced in place, and applied back onto the
+  // parameters per bucket as its reduction joins.
+  void communicate_effective_gradient();
+  // The fp16-compressed Adasum round (§4.4.1).
+  void communicate_effective_gradient_fp16();
+  // Pointers at every parameter's `member` tensor (value or grad), rebuilt
+  // only when the parameter count changes.
+  const std::vector<Tensor*>& param_views(std::vector<Tensor*>& cache,
+                                          Tensor nn::Parameter::*member);
   // (Re)builds buckets_ for the byte layout of `tensors`; no-op when the
   // layout is unchanged from the previous round.
   void ensure_buckets(const std::vector<Tensor*>& tensors);
+  // Bucket b's slice of `tensors`, as the const views FusionBuffer takes.
+  const std::vector<const Tensor*>& bucket_views(
+      std::size_t b, const std::vector<Tensor*>& tensors);
   // Tag namespace of the current round, allocated on first use so buckets
   // submitted from notify_grad_ready and from step() agree.
   int acquire_round_index();
   int bucket_tag_base(int round_index, std::size_t bucket) const;
-  // Packs bucket `b` from `tensors` and starts its allreduce — on the
-  // engine in background mode, inline otherwise.
-  void launch_bucket(std::size_t b, const std::vector<Tensor*>& tensors,
-                     ReduceOp op, int round_index);
-  // Joins every bucket in order, unpacks, and aggregates the worst outcome.
-  ReduceOutcome reduce_bucketed(std::vector<Tensor*>& tensors, ReduceOp op);
+  // Starts bucket b's allreduce on its staged fusion buffer — on the engine
+  // in background mode, inline otherwise.
+  void launch_bucket(std::size_t b, ReduceOp op, int round_index);
+  // Joins every bucket in order, calling finish(b) right after bucket b
+  // joins (later buckets may still be reducing on the engine), then closes
+  // the round and returns the worst outcome.
+  template <class Finish>
+  ReduceOutcome join_round(Finish&& finish);
   CommEngine& engine();
   // Shares the per-rank overflow flag; true -> skip the round everywhere.
   // Fault-tolerant worlds agree through the liveness-aware vote (a dead rank
   // would deadlock the plain allreduce); others keep the wire allreduce.
   bool round_overflowed_globally(bool local_overflow);
-  // Reduce `tensors` (pointers into rank-local storage) in place. On a
-  // fault-tolerant world the reduction degrades instead of throwing; the
-  // outcome says whether the caller must treat the round as skipped.
-  ReduceOutcome reduce_tensors(std::vector<Tensor*>& tensors, ReduceOp op);
+  // Reduce `tensors` (pointers into rank-local storage) in place: packs the
+  // buckets not yet launched, joins all, unpacks. On a fault-tolerant world
+  // the reduction degrades instead of throwing; the outcome says whether
+  // the caller must treat the round as skipped.
+  ReduceOutcome reduce_tensors(const std::vector<Tensor*>& tensors,
+                               ReduceOp op);
   // Restores all parameters to the round-start snapshot (Adasum mode).
   void revert_to_round_start();
   // First-step autotune resolution (options_.autotune): prices the payload
@@ -179,28 +192,25 @@ class DistributedOptimizer {
   Comm& comm_;
   std::unique_ptr<Optimizer> inner_;
   DistributedOptions options_;
-  FusionBuffer fusion_;  // reused fusion staging across rounds
   std::vector<Tensor> round_start_;  // parameter snapshot (Adasum mode)
   int micro_step_ = 0;
   long rounds_ = 0;
   long skipped_rounds_ = 0;
   long degraded_rounds_ = 0;
   DynamicScaler scaler_;
-  std::unique_ptr<ErrorFeedback> error_feedback_;  // int8 path only
+  std::unique_ptr<ErrorFeedback> error_feedback_;  // int8 / wire EF only
   int tag_round_ = 0;
   TunedConfig tuned_{};          // autotuner pick (valid when resolved)
   bool tuned_resolved_ = false;
 
-  // Bucketed/background state. The scratch vectors are members so warm
-  // rounds allocate nothing — the bench gate counts steady-state
-  // allocations across the whole pipelined step.
+  // Round state. The view vectors are members so warm rounds allocate
+  // nothing — the allocation gates count whole warm steps.
   std::vector<Bucket> buckets_;
   std::vector<std::size_t> bucket_signature_;  // per-tensor nbytes of layout
-  std::vector<Tensor> eff_;           // persistent deltas (background Adasum)
-  std::vector<Tensor*> eff_views_;    // pointers into eff_
+  std::vector<Tensor*> values_view_;  // pointers at the params' values
   std::vector<Tensor*> grads_view_;   // pointers at the params' grads
-  std::vector<const Tensor*> pack_views_;  // launch_bucket pack scratch
-  std::vector<Tensor*> unpack_views_;      // reduce_bucketed unpack scratch
+  std::vector<const Tensor*> bucket_views_;  // bucket_views() scratch
+  std::vector<Tensor*> unpack_views_;        // reduce_tensors unpack scratch
   std::vector<char> grad_ready_;      // notify_grad_ready marks, per tensor
   std::size_t next_unlaunched_ = 0;   // first bucket not yet launched
   int round_index_ = -1;              // in-flight round's tag index, -1=none

@@ -1,5 +1,7 @@
 #include "tensor/fusion.h"
 
+#include <utility>
+
 #include "base/check.h"
 #include "tensor/kernels.h"
 
@@ -27,60 +29,30 @@ std::vector<std::vector<std::size_t>> make_fusion_groups(
 
 FusedTensor fuse(const std::vector<const Tensor*>& tensors,
                  const std::vector<std::string>* names) {
-  ADASUM_CHECK(!tensors.empty());
-  const DType dtype = tensors[0]->dtype();
-  std::size_t total = 0;
-  for (const Tensor* t : tensors) {
-    ADASUM_CHECK_MSG(t->dtype() == dtype,
-                     "all tensors in a fusion group must share a dtype");
-    total += t->size();
-  }
-  if (names != nullptr) ADASUM_CHECK_EQ(names->size(), tensors.size());
-
-  FusedTensor out;
-  out.flat = Tensor({total}, dtype);
-  out.slices.reserve(tensors.size());
-  const std::size_t elem = dtype_size(dtype);
-  std::size_t offset = 0;
-  for (std::size_t i = 0; i < tensors.size(); ++i) {
-    const Tensor* t = tensors[i];
-    kernels::copy_bytes(t->data(), out.flat.data() + offset * elem, t->size(),
-                        dtype);
-    out.slices.push_back(TensorSlice{
-        names != nullptr ? (*names)[i] : "t" + std::to_string(i), offset,
-        t->size()});
-    offset += t->size();
-  }
-  return out;
+  FusionBuffer buffer;
+  return std::move(buffer.pack(tensors, names));
 }
 
-namespace {
-
-// Does the existing boundary table already describe this pack, including the
-// names it would be given? Checking instead of rebuilding avoids N string
-// constructions per step once the layout settles.
-bool table_matches(const std::vector<TensorSlice>& slices,
-                   const std::vector<const Tensor*>& tensors,
-                   const std::vector<std::string>* names) {
+// Does the existing boundary table already describe these tensors? Default
+// names are remembered rather than re-formatted, so an unnamed check
+// compares offsets and counts only.
+bool FusionBuffer::table_matches(const std::vector<const Tensor*>& tensors,
+                                 const std::vector<std::string>* names) const {
+  const std::vector<TensorSlice>& slices = fused_.slices;
   if (slices.size() != tensors.size()) return false;
+  if (names == nullptr && !default_names_) return false;
   std::size_t offset = 0;
   for (std::size_t i = 0; i < tensors.size(); ++i) {
     const TensorSlice& s = slices[i];
     if (s.offset != offset || s.count != tensors[i]->size()) return false;
-    if (names != nullptr) {
-      if (s.name != (*names)[i]) return false;
-    } else {
-      if (s.name != "t" + std::to_string(i)) return false;
-    }
+    if (names != nullptr && s.name != (*names)[i]) return false;
     offset += s.count;
   }
   return true;
 }
 
-}  // namespace
-
-FusedTensor& FusionBuffer::pack(const std::vector<const Tensor*>& tensors,
-                                const std::vector<std::string>* names) {
+FusedTensor& FusionBuffer::layout(const std::vector<const Tensor*>& tensors,
+                                  const std::vector<std::string>* names) {
   ADASUM_CHECK(!tensors.empty());
   const DType dtype = tensors[0]->dtype();
   std::size_t total = 0;
@@ -99,28 +71,34 @@ FusedTensor& FusionBuffer::pack(const std::vector<const Tensor*>& tensors,
     fused_.flat = Tensor({total}, dtype);
   }
 
-  const bool keep_table = table_matches(fused_.slices, tensors, names);
-  if (keep_table) {
+  if (table_matches(tensors, names)) {
     ++stats_.table_reuses;
-  } else {
-    fused_.slices.clear();
-    fused_.slices.reserve(tensors.size());
+    return fused_;
   }
-
-  const std::size_t elem = dtype_size(dtype);
+  fused_.slices.clear();
+  fused_.slices.reserve(tensors.size());
   std::size_t offset = 0;
   for (std::size_t i = 0; i < tensors.size(); ++i) {
-    const Tensor* t = tensors[i];
-    kernels::copy_bytes(t->data(), fused_.flat.data() + offset * elem,
-                        t->size(), dtype);
-    if (!keep_table) {
-      fused_.slices.push_back(TensorSlice{
-          names != nullptr ? (*names)[i] : "t" + std::to_string(i), offset,
-          t->size()});
-    }
-    offset += t->size();
+    fused_.slices.push_back(TensorSlice{
+        names != nullptr ? (*names)[i] : "t" + std::to_string(i), offset,
+        tensors[i]->size()});
+    offset += tensors[i]->size();
   }
+  default_names_ = names == nullptr;
   return fused_;
+}
+
+FusedTensor& FusionBuffer::pack(const std::vector<const Tensor*>& tensors,
+                                const std::vector<std::string>* names) {
+  FusedTensor& fused = layout(tensors, names);
+  const DType dtype = fused.flat.dtype();
+  const std::size_t elem = dtype_size(dtype);
+  for (std::size_t i = 0; i < tensors.size(); ++i) {
+    const TensorSlice& s = fused.slices[i];
+    kernels::copy_bytes(tensors[i]->data(), fused.flat.data() + s.offset * elem,
+                        s.count, dtype);
+  }
+  return fused;
 }
 
 void FusionBuffer::unpack(const std::vector<Tensor*>& tensors) const {

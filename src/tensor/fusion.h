@@ -51,21 +51,26 @@ void unfuse(const FusedTensor& fused, const std::vector<Tensor*>& tensors);
 // Reusable fusion staging. fuse() allocates a fresh flat buffer and rebuilds
 // the boundary table (N string constructions) every step; a training loop
 // packs the same layer layout thousands of times. FusionBuffer keeps the
-// backing Tensor and the table across pack() calls: when the total
-// size/dtype repeat the buffer is reused in place, and when the layout
-// (per-tensor sizes and names) is unchanged the table rebuild is skipped
+// backing Tensor and the table across calls: when the total size/dtype
+// repeat the buffer is reused in place, and when the layout (per-tensor
+// sizes, and names when given) is unchanged the table rebuild is skipped
 // entirely, so a warm pack() performs only the payload memcpys.
 class FusionBuffer {
  public:
   struct Stats {
-    std::uint64_t packs = 0;          // total pack() calls
+    std::uint64_t packs = 0;          // total layout() calls, pack() included
     std::uint64_t buffer_reuses = 0;  // packs that kept the backing tensor
     std::uint64_t table_reuses = 0;   // packs that kept the boundary table
   };
 
-  // Packs tensors (all one dtype) into the internal fused buffer, reusing
-  // storage where the layout allows, and returns it. The reference stays
-  // valid until the next pack().
+  // Sizes the fused buffer for `tensors` (all one dtype) and checks or
+  // rebuilds the boundary table, copying no payload: a caller that computes
+  // each slice in place (the Adasum delta pass) stages through this. The
+  // reference stays valid until the next layout()/pack().
+  FusedTensor& layout(const std::vector<const Tensor*>& tensors,
+                      const std::vector<std::string>* names = nullptr);
+
+  // layout() plus the payload copies into the slices.
   FusedTensor& pack(const std::vector<const Tensor*>& tensors,
                     const std::vector<std::string>* names = nullptr);
 
@@ -77,8 +82,12 @@ class FusionBuffer {
   const Stats& stats() const { return stats_; }
 
  private:
+  bool table_matches(const std::vector<const Tensor*>& tensors,
+                     const std::vector<std::string>* names) const;
+
   FusedTensor fused_;
   Stats stats_;
+  bool default_names_ = false;  // the table's names are the "t<i>" defaults
 };
 
 }  // namespace adasum

@@ -10,7 +10,9 @@ namespace {
 
 // The process-wide pool. All job-descriptor fields are written by the
 // submitter under `m` before the epoch bump and read by helpers under `m`
-// while they commit to the epoch, so they need no atomics.
+// while they commit to the epoch, so they need no atomics. `fn` is null
+// between jobs, which is how a helper that wakes late tells a finished
+// epoch from a live one.
 struct Pool {
   sync::mutex m;
   sync::condition_variable wake;  // helpers sleep here between jobs
@@ -19,7 +21,7 @@ struct Pool {
   // Guarded by m -----------------------------------------------------------
   std::uint64_t epoch = 0;   // bumped once per job
   Tiling tiling;             // current job
-  TileFn fn = nullptr;
+  TileFn fn = nullptr;       // null once the job has finished
   void* ctx = nullptr;
   int committed = 0;         // helpers inside the current job's claim loop
   bool shutdown = false;
@@ -87,6 +89,10 @@ void helper_main(Pool* p) {
       p->wake.wait(lk, [&] { return p->shutdown || p->epoch != seen; });
       if (p->shutdown) return;
       seen = p->epoch;
+      // Woke only after the job had finished (the submitter cleared it):
+      // committing now would run that dead job's fn/ctx against the next
+      // job's reset next_tile. Sleep until the next epoch instead.
+      if (p->fn == nullptr) continue;
       t = p->tiling;
       fn = p->fn;
       ctx = p->ctx;
@@ -254,6 +260,10 @@ void parallel_for(const Tiling& t, TileFn fn, void* ctx) {
       return p.committed == 0 &&
              p.done_tiles.load(std::memory_order_acquire) >= t.count;
     });
+    // Retire the job: a helper that wakes for this epoch from here on finds
+    // nothing to commit to.
+    p.fn = nullptr;
+    p.ctx = nullptr;
   }
   p.job.unlock();
 }

@@ -37,6 +37,7 @@
 #include "base/thread_annotations.h"
 
 #if ADASUM_VERIFY
+#include "base/check.h"
 #include "verify/runtime.h"
 #endif
 
@@ -275,6 +276,14 @@ class ADASUM_CAPABILITY("mutex") mutex {
     } else {
       m_.unlock();
     }
+  }
+  // Native only: the Runtime models no try-lock, and its one caller (the
+  // intra-op pool's job lock) runs serially under a Runtime without
+  // reaching it.
+  bool try_lock() ADASUM_TRY_ACQUIRE(true) {
+    ADASUM_CHECK_MSG(verify::current() == nullptr,
+                     "sync::mutex::try_lock under a verify::Runtime");
+    return m_.try_lock();
   }
   std::mutex& native() { return m_; }
 

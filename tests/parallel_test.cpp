@@ -23,10 +23,14 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <future>
 #include <memory>
 #include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -172,6 +176,85 @@ TEST(Pool, ConfigureControlsEnabledState) {
   EXPECT_TRUE(parallel::enabled());
   parallel::configure(parallel::kMaxThreads + 5);
   EXPECT_EQ(parallel::threads(), parallel::kMaxThreads);
+}
+
+// One job of the back-to-back stress below. Jobs live in a ring and are
+// checked when their slot comes round again, so a tile that runs late or
+// under another job's function shows up as a count on the wrong job rather
+// than as a write into freed memory.
+struct StressJob {
+  static constexpr std::size_t kTiles = 16;
+  int fn_id = 0;  // which of the two tile functions this job was given
+  parallel::Tiling tiling;
+  std::atomic<int> hits[kTiles] = {};
+  std::atomic<int> wrong_fn{0};  // tiles run by the other job's function
+  std::atomic<int> bad_span{0};  // tiles run with another job's bounds
+};
+
+template <int kFnId>
+void stress_tile(void* ctx, std::size_t tile, std::size_t b, std::size_t e) {
+  auto* job = static_cast<StressJob*>(ctx);
+  if (job->fn_id != kFnId) job->wrong_fn.fetch_add(1);
+  if (tile >= job->tiling.count || b != job->tiling.begin(tile) ||
+      e != job->tiling.end(tile)) {
+    job->bad_span.fetch_add(1);
+    return;
+  }
+  job->hits[tile].fetch_add(1);
+}
+
+TEST(Pool, BackToBackJobsRunEveryTileOnceUnderTheirOwnFunction) {
+  // Many tiny jobs back to back: the caller usually finishes a job before
+  // every helper has woken for it. A helper that wakes late must not commit
+  // to the finished job and run its function against the next job's freshly
+  // reset tile counter — that runs a tile under the wrong function and, when
+  // the stale tiling is shorter, swallows a tile index so the next job never
+  // completes. The jobs run on a worker thread so such a hang fails the test
+  // instead of stalling the suite.
+  PoolGuard guard;
+  parallel::configure(4);
+  constexpr int kJobs = 200000;
+  constexpr std::size_t kRing = 4096;
+  std::vector<StressJob> ring(kRing);
+  int failures = 0;
+  auto check = [&](const StressJob& job, int id) {
+    bool ok = job.wrong_fn.load() == 0 && job.bad_span.load() == 0;
+    for (std::size_t t = 0; t < StressJob::kTiles; ++t)
+      ok = ok && job.hits[t].load() == (t < job.tiling.count ? 1 : 0);
+    if (!ok && ++failures <= 5)
+      ADD_FAILURE() << "job " << id << ": wrong_fn=" << job.wrong_fn.load()
+                    << " bad_span=" << job.bad_span.load();
+  };
+  std::promise<void> finished;
+  std::future<void> finished_future = finished.get_future();
+  std::thread submitter([&] {
+    for (int j = 0; j < kJobs; ++j) {
+      StressJob& job = ring[static_cast<std::size_t>(j) % kRing];
+      if (j >= static_cast<int>(kRing)) check(job, j - static_cast<int>(kRing));
+      for (auto& h : job.hits) h.store(0);
+      job.wrong_fn.store(0);
+      job.bad_span.store(0);
+      job.fn_id = j % 2;
+      job.tiling = parallel::tiles_for(
+          64 + static_cast<std::size_t>(j % 7) * 16, 16, 1);
+      parallel::parallel_for(
+          job.tiling, job.fn_id == 0 ? &stress_tile<0> : &stress_tile<1>,
+          &job);
+    }
+    finished.set_value();
+  });
+  if (finished_future.wait_for(std::chrono::seconds(120)) !=
+      std::future_status::ready) {
+    // The pool is wedged with its job lock held; nothing can unwind it.
+    std::fprintf(stderr, "FATAL: a back-to-back parallel_for never "
+                         "completed (a tile index was lost)\n");
+    std::abort();
+  }
+  submitter.join();
+  parallel::configure(0);  // joins the helpers: no tile can still be running
+  for (int j = kJobs - static_cast<int>(kRing); j < kJobs; ++j)
+    check(ring[static_cast<std::size_t>(j) % kRing], j);
+  EXPECT_EQ(failures, 0);
 }
 
 // ---- kernel wrappers: tiled == monolithic ----------------------------------

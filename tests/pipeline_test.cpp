@@ -560,6 +560,93 @@ TEST(PipelineEngine, SteadyStateSubmitWaitLoopMakesNoAllocations) {
   EXPECT_EQ(steady_allocs, 0u);
 }
 
+TEST(OptimizerAllocations, WarmAdasumStepsMakeNoAllocations) {
+  // A warm Adasum round computes each delta straight into its bucket's
+  // fused slice and applies the reduced result straight back, so a warm
+  // DistributedOptimizer::step allocates nothing: one bucket or several,
+  // inline or on the engine, plain fp32 or the wire codec with error
+  // feedback. fp16 is exempt (its casts allocate per round).
+  struct Case {
+    const char* name;
+    std::size_t bucket_bytes;
+    bool background;
+    CompressionMode wire;
+  };
+  const Case cases[] = {
+      {"one bucket inline", 0, false, CompressionMode::kNone},
+      {"3 buckets inline", 1400, false, CompressionMode::kNone},
+      {"3 buckets engine", 1400, true, CompressionMode::kNone},
+      {"one bucket inline, wire int8 + EF", 0, false, CompressionMode::kInt8},
+      {"3 buckets inline, wire int8 + EF", 1400, false,
+       CompressionMode::kInt8},
+      {"3 buckets engine, wire int8 + EF", 1400, true,
+       CompressionMode::kInt8},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    World world(4);
+    if (world.analyzer() != nullptr)
+      GTEST_SKIP() << "protocol analyzer enabled via ADASUM_ANALYZE";
+    std::uint64_t steady_allocs = 0;
+    world.run([&](Comm& comm) {
+      std::vector<Parameter> owned;
+      owned.reserve(kNumParams);
+      std::vector<Parameter*> params;
+      for (std::size_t i = 0; i < kNumParams; ++i) {
+        owned.emplace_back("p" + std::to_string(i),
+                           std::vector<std::size_t>{kParamSizes[i]});
+        params.push_back(&owned.back());
+      }
+      DistributedOptions opts;
+      opts.op = ReduceOp::kAdasum;
+      opts.bucket_bytes = c.bucket_bytes;
+      opts.background = c.background;
+      opts.wire_compression.mode = c.wire;
+      DistributedOptimizer dopt(comm, std::make_unique<Sgd>(params), opts);
+      auto step = [&](int s) {
+        for (std::size_t i = 0; i < kNumParams; ++i) {
+          auto g = owned[i].grad.span<float>();
+          for (std::size_t j = 0; j < g.size(); ++j)
+            g[j] = static_cast<float>((j * 13 + i * 7 +
+                                       static_cast<std::size_t>(
+                                           comm.rank() * 3 + s)) %
+                                      400) /
+                       400.0f -
+                   0.5f;
+        }
+        dopt.step(0.05);
+      };
+      for (int s = 0; s < 8; ++s) step(s);
+      comm.barrier();
+      if (comm.rank() == 0) {
+        // Peak in-flight pooled message buffers depend on how far senders
+        // run ahead, so organic warm-up cannot deterministically reach the
+        // worst case; provision the shared pool to a static bound instead
+        // (the idiom above). 4 KiB covers every message and scratch lease of
+        // this 1001-float model.
+        BufferPool& pool = comm.pool();
+        std::vector<std::vector<std::byte>> held;
+        for (int i = 0; i < 16 * comm.size(); ++i)
+          held.push_back(pool.acquire(4096));
+        for (int i = 0; i < 8 * comm.size(); ++i)
+          held.push_back(pool.acquire(128));
+        for (auto& b : held) pool.release(std::move(b));
+      }
+      comm.barrier();
+      std::uint64_t baseline = 0;
+      if (comm.rank() == 0)
+        baseline = g_heap_allocs.load(std::memory_order_relaxed);
+      comm.barrier();
+      for (int s = 8; s < 16; ++s) step(s);
+      comm.barrier();
+      if (comm.rank() == 0)
+        steady_allocs =
+            g_heap_allocs.load(std::memory_order_relaxed) - baseline;
+    });
+    EXPECT_EQ(steady_allocs, 0u);
+  }
+}
+
 // ---- strict analyzer over chunked epochs -----------------------------------
 
 #if ADASUM_ANALYZE

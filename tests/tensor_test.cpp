@@ -291,6 +291,44 @@ TEST(FusionBuffer, NameChangeRebuildsTableOnly) {
   EXPECT_EQ(buffer.stats().table_reuses, 0u);
 }
 
+TEST(FusionBuffer, LayoutSizesAndDescribesWithoutCopying) {
+  Tensor a = Tensor::from_vector({1, 2, 3});
+  Tensor b = Tensor::from_vector({4, 5});
+  FusionBuffer buffer;
+  FusedTensor& laid = buffer.layout({&a, &b});
+  ASSERT_EQ(laid.flat.size(), 5u);
+  ASSERT_EQ(laid.slices.size(), 2u);
+  EXPECT_EQ(laid.slices[1].name, "t1");
+  EXPECT_EQ(laid.slices[1].offset, 3u);
+  laid.flat.fill(-1.0);
+  // A later layout() of the same tensors keeps buffer, table and payload.
+  FusedTensor& again = buffer.layout({&a, &b});
+  EXPECT_EQ(again.flat.at(0), -1.0);
+  EXPECT_EQ(buffer.stats().table_reuses, 1u);
+  // pack() is layout() plus the copies, so it reuses that same table.
+  FusedTensor& packed = buffer.pack({&a, &b});
+  EXPECT_EQ(packed.flat.at(4), 5.0);
+  EXPECT_EQ(buffer.stats().packs, 3u);
+  EXPECT_EQ(buffer.stats().table_reuses, 2u);
+}
+
+TEST(FusionBuffer, DefaultAndGivenNamesNeverShareATable) {
+  Tensor a({2}), b({3});
+  const std::vector<std::string> named{"w", "b"};
+  FusionBuffer buffer;
+  buffer.pack({&a, &b}, &named);
+  // Unnamed after named: the table must take the "t<i>" defaults.
+  FusedTensor& unnamed = buffer.pack({&a, &b});
+  EXPECT_EQ(unnamed.slices[0].name, "t0");
+  EXPECT_EQ(buffer.stats().table_reuses, 0u);
+  buffer.pack({&a, &b});
+  EXPECT_EQ(buffer.stats().table_reuses, 1u);
+  // Named after unnamed: rebuilt with the given names.
+  FusedTensor& renamed = buffer.pack({&a, &b}, &named);
+  EXPECT_EQ(renamed.slices[0].name, "w");
+  EXPECT_EQ(buffer.stats().table_reuses, 1u);
+}
+
 // ---- dynamic scaling --------------------------------------------------------
 
 TEST(DynamicScaler, BacksOffOnOverflow) {
